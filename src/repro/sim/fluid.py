@@ -38,10 +38,20 @@ this two ways:
   component each epoch; both modes are bit-identical because re-filling an
   untouched component reproduces its previous rates exactly.
 
+**Fill cache.**  Every flow on a resource belongs to that resource's
+component, so the PIO-under-DMA caps, and with them the whole fill, are a
+pure function of the component's member *routes* (a route is a flow's
+``(path, peak)``) in arrival order.  Each network interns its routes once
+and keeps the rates of every component shape it has filled, keyed by the
+ordered route ids; a repeated shape — the common case on a forwarding
+pipeline — reuses them without re-filling.  Resource capacities and
+slowdowns are read-only, so a cached fill can never go stale.
+
 Work done is observable on the network (``recompute_epochs``,
-``recomputed_flows``, ``live_flow_epochs``) and, when a metrics registry is
-attached, as ``fluid.recomputes``/``fluid.recompute_flows``/
-``fluid.epoch_live_flows`` counters plus the ``fluid.component_size``
+``recomputed_flows``, ``live_flow_epochs``, ``component_fills``,
+``fill_cache_hits``) and, when a metrics registry is attached, as
+``fluid.recomputes``/``fluid.recompute_flows``/``fluid.epoch_live_flows``/
+``fluid.fill_cache_hits`` counters plus the ``fluid.component_size``
 histogram (docs/telemetry.md).
 """
 
@@ -63,41 +73,39 @@ PIO = "pio"
 #: bucket bounds for the component-size histogram (flows per re-solve).
 _COMPONENT_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
+#: component shapes the fill cache holds before it is cleared, which keeps
+#: memory flat on long runs with ever-new shapes.
+_FILL_CACHE_MAX = 4096
 
-class _OrderedSet:
-    """Insertion-ordered set (dict-backed).
+
+class _OrderedSet(dict):
+    """Insertion-ordered set: a ``dict`` whose keys are the members.
 
     Flow bookkeeping must iterate in *arrival* order, not address order: a
     plain ``set`` of identity-hashed flows completes same-instant flows in
     whatever order the allocator handed out addresses, which makes two runs
     of the same seeded scenario in one process schedule differently.
+    Iteration, ``len`` and ``in`` are the dict's own (C) methods.
     """
 
-    __slots__ = ("_items",)
-
-    def __init__(self) -> None:
-        self._items: dict = {}
+    __slots__ = ()
 
     def add(self, item) -> None:
-        self._items[item] = None
+        self[item] = None
 
     def discard(self, item) -> None:
-        self._items.pop(item, None)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, item) -> bool:
-        return item in self._items
+        self.pop(item, None)
 
 
 class FluidResource:
-    """A shared capacity (bytes/µs) that concurrent flows divide."""
+    """A shared capacity (bytes/µs) that concurrent flows divide.
 
-    __slots__ = ("name", "capacity", "preempt_slowdown", "flows",
+    ``capacity`` and ``preempt_slowdown`` are fixed at construction: the
+    network caches component fills on the assumption that they never
+    change, so both are read-only.
+    """
+
+    __slots__ = ("name", "_capacity", "_preempt_slowdown", "flows",
                  "dma_flows")
 
     def __init__(self, name: str, capacity: float,
@@ -107,15 +115,23 @@ class FluidResource:
         if preempt_slowdown < 1.0:
             raise ValueError(f"resource {name!r}: preempt_slowdown must be >= 1")
         self.name = name
-        self.capacity = capacity
-        #: factor applied to a PIO flow's peak rate while any DMA flow
-        #: shares this resource.
-        self.preempt_slowdown = preempt_slowdown
+        self._capacity = capacity
+        self._preempt_slowdown = preempt_slowdown
         self.flows: _OrderedSet = _OrderedSet()
         #: attached flows whose (first) hop on this resource is DMA —
         #: maintained by the network so the PIO-under-DMA cap check is
         #: O(path) per flow instead of a scan of every co-member.
         self.dma_flows: int = 0
+
+    @property
+    def capacity(self) -> float:
+        return self._capacity
+
+    @property
+    def preempt_slowdown(self) -> float:
+        """Factor applied to a PIO flow's peak rate while any DMA flow
+        shares this resource."""
+        return self._preempt_slowdown
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<FluidResource {self.name} cap={self.capacity}B/µs>"
@@ -132,7 +148,7 @@ class Flow:
 
     __slots__ = ("id", "name", "size", "remaining", "path", "peak",
                  "rate", "done", "started_at", "finished_at", "_last_update",
-                 "_seq")
+                 "_seq", "_route")
 
     def __init__(self, name: str, size: float,
                  path: Sequence[tuple[FluidResource, str]], peak: float) -> None:
@@ -157,6 +173,8 @@ class Flow:
         #: network-local arrival sequence (assigned on attach); orders
         #: component members independently of the process-wide id counter.
         self._seq: int = -1
+        #: the network's interned data for this flow's route (on attach).
+        self._route: Optional[_Route] = None
 
     def kind_on(self, resource: FluidResource) -> Optional[str]:
         for res, kind in self.path:
@@ -170,6 +188,28 @@ class Flow:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Flow {self.name} {self.size - self.remaining:.0f}/"
                 f"{self.size:.0f}B rate={self.rate:.2f}>")
+
+
+class _Route:
+    """Per-network interned data of one route, a flow's ``(path, peak)``.
+
+    Derived once per distinct route instead of once per epoch: the path's
+    resources (deduplicated, path order), those whose first hop is DMA
+    (the flows counted in ``FluidResource.dma_flows``), and every PIO hop
+    with whether the flow itself is DMA on that resource.
+    """
+
+    __slots__ = ("id", "resources", "dma", "pio")
+
+    def __init__(self, rid: int, path: tuple) -> None:
+        first: dict[FluidResource, str] = {}
+        for res, kind in path:
+            first.setdefault(res, kind)
+        self.id = rid
+        self.resources = tuple(first)
+        self.dma = tuple(res for res, kind in first.items() if kind == DMA)
+        self.pio = tuple((res, first[res] == DMA)
+                         for res, kind in path if kind == PIO)
 
 
 def _fill_component(flows: list[Flow], caps: dict[Flow, float]) -> dict[Flow, float]:
@@ -242,17 +282,22 @@ class FluidNetwork:
         #: live_flow_epochs`` is the mean fraction of the population each
         #: epoch had to touch.
         self.live_flow_epochs = 0
+        #: contention components filled (re-solved), summed over epochs.
+        self.component_fills = 0
+        #: component fills served from the fill cache.
+        self.fill_cache_hits = 0
+        #: interned routes, keyed by ``(path, peak)``.
+        self._routes: dict[tuple, _Route] = {}
+        #: fill cache: member route ids in arrival order -> their rates.
+        self._fills: dict[tuple, tuple] = {}
+        self._metrics = metrics
         if metrics is not None:
             self._m_recomputes = metrics.counter("fluid.recomputes")
             self._m_recompute_flows = metrics.counter("fluid.recompute_flows")
             self._m_epoch_live = metrics.counter("fluid.epoch_live_flows")
+            self._m_fill_hits = metrics.counter("fluid.fill_cache_hits")
             self._m_component = metrics.histogram("fluid.component_size",
                                                   bounds=_COMPONENT_BOUNDS)
-        else:
-            self._m_recomputes = None
-            self._m_recompute_flows = None
-            self._m_epoch_live = None
-            self._m_component = None
 
     # -- public API ---------------------------------------------------------
     def transfer(self, name: str, size: float,
@@ -279,19 +324,25 @@ class FluidNetwork:
 
     # -- contention-graph bookkeeping -----------------------------------------
     def _attach(self, flow: Flow) -> None:
+        key = (flow.path, flow.peak)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = _Route(len(self._routes), flow.path)
+        flow._route = route
         flow._seq = next(self._seq)
         self.flows.add(flow)
-        for res in dict.fromkeys(flow.resources()):
+        for res in route.resources:
             res.flows.add(flow)
-            if flow.kind_on(res) == DMA:
-                res.dma_flows += 1
+        for res in route.dma:
+            res.dma_flows += 1
 
     def _detach(self, flow: Flow) -> None:
+        route = flow._route
         self.flows.discard(flow)
-        for res in dict.fromkeys(flow.resources()):
+        for res in route.resources:
             res.flows.discard(flow)
-            if flow.kind_on(res) == DMA:
-                res.dma_flows -= 1
+        for res in route.dma:
+            res.dma_flows -= 1
 
     def _component(self, seed: Flow, visited: set) -> list[Flow]:
         """The live contention component containing ``seed`` (arrival
@@ -302,7 +353,7 @@ class FluidNetwork:
         while frontier:
             nxt = []
             for f in frontier:
-                for res in f.resources():
+                for res in f._route.resources:
                     for o in res.flows:
                         if o not in visited:
                             visited.add(o)
@@ -316,13 +367,9 @@ class FluidNetwork:
         """Flow's standalone cap with PIO-under-DMA applied, from the
         maintained per-resource DMA membership counts (O(path))."""
         cap = flow.peak
-        for res, kind in flow.path:
-            if kind == PIO:
-                others = res.dma_flows
-                if flow.kind_on(res) == DMA:
-                    others -= 1
-                if others > 0:
-                    cap = min(cap, flow.peak / res.preempt_slowdown)
+        for res, own_dma in flow._route.pio:
+            if res.dma_flows - own_dma > 0:
+                cap = min(cap, flow.peak / res.preempt_slowdown)
         return cap
 
     # -- bookkeeping ----------------------------------------------------------
@@ -350,18 +397,31 @@ class FluidNetwork:
         wake-up.  Components not reached keep their rates untouched."""
         if not self.incremental:
             seeds = self.flows
+        metrics = self._metrics
+        telemetry = metrics is not None and metrics.enabled
         visited: set = set()
         touched = 0
+        fills = self._fills
+        filled = hits = 0
         for seed in seeds:
             if seed in visited or seed not in self.flows:
                 continue
             comp = self._component(seed, visited)
             touched += len(comp)
-            if self._m_component is not None:
+            filled += 1
+            if telemetry:
                 self._m_component.observe(float(len(comp)))
-            caps = {f: self._effective_cap(f) for f in comp}
-            rates = _fill_component(comp, caps)
-            for flow, rate in rates.items():
+            shape = tuple([f._route.id for f in comp])
+            rates = fills.get(shape)
+            if rates is None:
+                caps = {f: self._effective_cap(f) for f in comp}
+                rates = tuple(_fill_component(comp, caps).values())
+                if len(fills) >= _FILL_CACHE_MAX:
+                    fills.clear()
+                fills[shape] = rates
+            else:
+                hits += 1
+            for flow, rate in zip(comp, rates):
                 if abs(rate - flow.rate) > _EPS:
                     flow.rate = rate
                     for obs in self.rate_observers:
@@ -371,10 +431,13 @@ class FluidNetwork:
         self.recompute_epochs += 1
         self.recomputed_flows += touched
         self.live_flow_epochs += len(self.flows)
-        if self._m_recomputes is not None:
+        self.component_fills += filled
+        self.fill_cache_hits += hits
+        if telemetry:
             self._m_recomputes.inc()
             self._m_recompute_flows.inc(touched)
             self._m_epoch_live.inc(len(self.flows))
+            self._m_fill_hits.inc(hits)
         self._schedule_wakeup()
 
     def _schedule_wakeup(self) -> None:
@@ -429,7 +492,7 @@ class FluidNetwork:
         seeds = []
         seen = set()
         for flow in finished:
-            for res in flow.resources():
+            for res in flow._route.resources:
                 for o in res.flows:
                     if o not in gone and o not in seen:
                         seen.add(o)

@@ -61,6 +61,17 @@ def test_fig5_trace_bit_identical_to_pre_optimization_kernel():
     assert elapsed == 39503.54562454843
 
 
+def test_fig5_fluid_fill_cache_counts():
+    """The pipeline repeats a handful of contention shapes, so nearly every
+    component fill is served from the fluid engine's fill cache.  The
+    counts are deterministic work counters, pinned exactly."""
+    world, _session, _elapsed = run_fig5()
+    fnet = world.fnet
+    assert fnet.recompute_epochs == 140
+    assert fnet.component_fills == 102
+    assert fnet.fill_cache_hits == 99
+
+
 def test_fig5_event_cost_cut_by_at_least_twenty_percent():
     _world, session, _elapsed = run_fig5()
     per_mb = session.sim.events_processed / (MESSAGE / (1 << 20))

@@ -176,6 +176,17 @@ def test_resource_validation():
         FluidResource("bad", 10, preempt_slowdown=0.5)
 
 
+def test_resource_capacity_and_slowdown_are_read_only():
+    # The network caches component fills: a resource whose capacity or
+    # slowdown changed after construction would serve stale rates.
+    r = FluidResource("r", 10, preempt_slowdown=2.0)
+    with pytest.raises(AttributeError):
+        r.capacity = 20
+    with pytest.raises(AttributeError):
+        r.preempt_slowdown = 1.0
+    assert (r.capacity, r.preempt_slowdown) == (10, 2.0)
+
+
 def test_flow_validation():
     r = FluidResource("r", 10)
     with pytest.raises(ValueError):

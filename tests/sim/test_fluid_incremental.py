@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.madeleine import reset_global_ids
-from repro.sim import DMA, PIO, FluidNetwork, FluidResource, Simulator
+from repro.sim import DMA, PIO, FluidNetwork, FluidResource, Simulator, fluid
 from repro.sim.fluid import Flow
 from repro.telemetry import Telemetry
 
@@ -45,20 +45,19 @@ def _remove(net: FluidNetwork, flow: Flow) -> None:
 @st.composite
 def _op_sequences(draw):
     """(resources, flow specs, op sequence) — mixed DMA/PIO paths over a
-    pool with both shared and disjoint resources."""
+    pool with both shared and disjoint resources.  A path may visit a
+    resource twice, and flows draw their ``(hops, peak)`` from a small
+    pool of routes, so component shapes recur and the fill cache hits."""
     n_res = draw(st.integers(2, 6))
     caps = [draw(st.floats(10.0, 500.0)) for _ in range(n_res)]
     slow = [draw(st.floats(1.0, 4.0)) for _ in range(n_res)]
-    n_flows = draw(st.integers(1, 10))
-    specs = []
-    for i in range(n_flows):
-        hops = draw(st.lists(
-            st.tuples(st.integers(0, n_res - 1),
-                      st.sampled_from((DMA, PIO))),
-            min_size=1, max_size=3, unique_by=lambda h: h[0]))
-        peak = draw(st.floats(5.0, 400.0))
-        specs.append((hops, peak))
-    ops = draw(st.lists(st.integers(0, n_flows - 1),
+    routes = draw(st.lists(st.tuples(
+        st.lists(st.tuples(st.integers(0, n_res - 1),
+                           st.sampled_from((DMA, PIO))),
+                 min_size=1, max_size=3),
+        st.floats(5.0, 400.0)), min_size=1, max_size=4))
+    specs = draw(st.lists(st.sampled_from(routes), min_size=1, max_size=10))
+    ops = draw(st.lists(st.integers(0, len(specs) - 1),
                         min_size=1, max_size=20))
     return caps, slow, specs, ops
 
@@ -170,6 +169,58 @@ def test_pio_cap_tracks_dma_membership():
     _remove(net, dma)
     assert pio.rate == pytest.approx(100.0)    # cap lifted again
     assert r.dma_flows == 0
+
+
+# -- fill cache ----------------------------------------------------------------
+
+def test_repeated_shape_is_served_from_the_fill_cache():
+    sim = Simulator()
+    tel = Telemetry(clock=lambda: sim.now)
+    net = FluidNetwork(sim, metrics=tel.metrics)
+    pci = FluidResource("pci", 100.0, preempt_slowdown=2.0)
+    link = FluidResource("link", 60.0)
+    net.transfer("a", 1e9, [(pci, PIO), (link, DMA)], peak=80.0)
+    net.transfer("b", 1e9, [(pci, DMA)], peak=80.0)
+    assert (net.component_fills, net.fill_cache_hits) == (2, 0)
+    b = [f for f in net.flows if f.name == "b"][0]
+    _remove(net, b)            # {a} again: the first epoch's shape
+    assert (net.component_fills, net.fill_cache_hits) == (3, 1)
+    net.transfer("b2", 1e9, [(pci, DMA)], peak=80.0)   # {a, b}'s shape
+    assert (net.component_fills, net.fill_cache_hits) == (4, 2)
+    oracle = FluidNetwork.solve_rates(net.flows)
+    for f in net.flows:
+        assert f.rate == oracle[f]
+    assert tel.metrics.total("fluid.fill_cache_hits") == 2
+
+
+def test_fill_cache_stays_within_its_cap():
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    shapes = fluid._FILL_CACHE_MAX + 10
+    for i in range(shapes):    # one new single-flow shape per arrival
+        net.transfer(f"f{i}", 1e9, [(FluidResource(f"r{i}", 100.0), DMA)],
+                     peak=1.0 + i / 100)
+        assert len(net._fills) <= fluid._FILL_CACHE_MAX
+    assert net.component_fills == shapes and net.fill_cache_hits == 0
+    assert len(net._fills) == 10           # cleared once at the cap
+    assert all(f.rate == f.peak for f in net.flows)
+
+
+def test_metrics_enabled_after_construction_still_count():
+    sim = Simulator()
+    tel = Telemetry(clock=lambda: sim.now)
+    tel.metrics.disable()
+    net = FluidNetwork(sim, metrics=tel.metrics)
+    r = FluidResource("r", 100.0)
+    net.transfer("a", 1e9, [(r, DMA)], peak=80.0)       # not counted
+    tel.metrics.enable()
+    net.transfer("b", 1e9, [(r, DMA)], peak=80.0)
+    _remove(net, [f for f in net.flows if f.name == "b"][0])  # a's shape
+    assert tel.metrics.total("fluid.recomputes") == 2
+    assert tel.metrics.total("fluid.recompute_flows") == 3
+    assert tel.metrics.total("fluid.epoch_live_flows") == 3
+    assert tel.metrics.total("fluid.fill_cache_hits") == 1
+    assert tel.metrics.histogram("fluid.component_size").count == 2
 
 
 # -- determinism matrix --------------------------------------------------------
