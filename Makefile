@@ -3,8 +3,10 @@
 install:
 	pip install -e .
 
+# what CI's tests job runs; works on a fresh checkout (no install needed)
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest -x -q -W error::DeprecationWarning
+	python -m pytest perfbench -q
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -165,13 +165,50 @@ def scaling_scenario() -> dict:
     return out
 
 
+_FROZEN_REL_EPS = 1e-9
+
+
+def _pr8_max_min_rates(flows, capacities: dict) -> dict:
+    """The whole-population ``max_min_rates`` of the reference loop, frozen:
+    the fill of the ``incremental_solver_speedup`` denominator and an
+    independent check on the shared engine (:mod:`repro.sim.maxmin`)."""
+    rate = {f.id: 0.0 for f in flows}
+    used = {key: 0.0 for key in capacities}
+    active = list(flows)
+    while active:
+        load: dict = {}
+        for f in active:
+            for key, w in f.footprint:
+                load[key] = load.get(key, 0.0) + w
+        inc = min(f.ceiling - rate[f.id] for f in active)
+        for key, demand in load.items():
+            inc = min(inc, (capacities[key] - used[key]) / demand)
+        inc = max(inc, 0.0)
+        for f in active:
+            rate[f.id] += inc
+            for key, w in f.footprint:
+                used[key] += w * inc
+        saturated = {
+            key for key in load
+            if capacities[key] - used[key]
+            <= _FROZEN_REL_EPS * max(1.0, capacities[key])
+        }
+        rest = [f for f in active
+                if rate[f.id] < f.ceiling - _FROZEN_REL_EPS * max(1.0, f.ceiling)
+                and not any(key in saturated for key, _w in f.footprint)]
+        if len(rest) == len(active):   # numerical stall: nothing froze
+            break                      # pragma: no cover
+        active = rest
+    return rate
+
+
 def _pr8_solve_finish_times(scenario: Scenario) -> dict:
     """The PR 8 solver epoch loop, preserved verbatim as the speed
-    reference for the incremental engine: full :func:`max_min_rates` over
-    every live rail at every epoch, ``pending.pop(0)`` admission, and
+    reference for the incremental engine: a full max-min fill over every
+    live rail at every epoch, ``pending.pop(0)`` admission, and
     per-epoch rebuilds of every load dict.  Returns app index → finish µs.
     """
-    from ..solver.core import _application_flows, max_min_rates
+    from ..solver.core import _application_flows
     from ..solver.network import SolverNetwork
 
     net = SolverNetwork(scenario)
@@ -189,7 +226,8 @@ def _pr8_solve_finish_times(scenario: Scenario) -> dict:
         if not active:
             now = max(now, pending[0].arrival + pending[0].setup_us)
         else:
-            rates = max_min_rates([f for f, _rem in active.values()], caps)
+            rates = _pr8_max_min_rates([f for f, _rem in active.values()],
+                                       caps)
             dt_done = math.inf
             for rid, (_f, rem) in active.items():
                 dt_done = min(dt_done, rem / rates[rid])

@@ -14,7 +14,8 @@ rate; rates are recomputed whenever the set of active flows changes, using
   Myrinet DMA receive is in flight (its Figure 8), because the PCI arbiter
   favours the NIC's DMA transactions;
 * subject to those caps and to each resource's capacity, rates are assigned
-  by classical progressive filling (max-min fairness).
+  by classical progressive filling (max-min fairness), the one in
+  :mod:`repro.sim.maxmin` that the solver shares.
 
 Rates are piecewise constant between recomputations, so the completion time
 of each flow is exact — no time-stepping error.  Bandwidths are bytes/µs,
@@ -58,9 +59,11 @@ histogram (docs/telemetry.md).
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import Event, Simulator
+from .maxmin import component, fill, fill_all, neighbours
 
 __all__ = ["FluidResource", "Flow", "FluidNetwork", "DMA", "PIO"]
 
@@ -76,6 +79,9 @@ _COMPONENT_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 #: component shapes the fill cache holds before it is cleared, which keeps
 #: memory flat on long runs with ever-new shapes.
 _FILL_CACHE_MAX = 4096
+
+#: sort key putting component members in arrival order.
+_ARRIVAL = attrgetter("_seq")
 
 
 class _OrderedSet(dict):
@@ -194,12 +200,13 @@ class _Route:
     """Per-network interned data of one route, a flow's ``(path, peak)``.
 
     Derived once per distinct route instead of once per epoch: the path's
-    resources (deduplicated, path order), those whose first hop is DMA
-    (the flows counted in ``FluidResource.dma_flows``), and every PIO hop
-    with whether the flow itself is DMA on that resource.
+    resources (deduplicated, path order) and their member sets, the
+    max-min footprint (one unit weight per hop), the resources whose first
+    hop is DMA (the flows counted in ``FluidResource.dma_flows``), and
+    every PIO hop with whether the flow itself is DMA on that resource.
     """
 
-    __slots__ = ("id", "resources", "dma", "pio")
+    __slots__ = ("id", "resources", "groups", "fp", "dma", "pio")
 
     def __init__(self, rid: int, path: tuple) -> None:
         first: dict[FluidResource, str] = {}
@@ -207,52 +214,11 @@ class _Route:
             first.setdefault(res, kind)
         self.id = rid
         self.resources = tuple(first)
+        self.groups = tuple(res.flows for res in first)
+        self.fp = tuple((res, 1.0) for res, _kind in path)
         self.dma = tuple(res for res, kind in first.items() if kind == DMA)
         self.pio = tuple((res, first[res] == DMA)
                          for res, kind in path if kind == PIO)
-
-
-def _fill_component(flows: list[Flow], caps: dict[Flow, float]) -> dict[Flow, float]:
-    """Progressive filling of one contention component.
-
-    ``flows`` must be in arrival order and ``caps`` must hold each flow's
-    effective cap (peak, PIO-under-DMA already applied).  This is the exact
-    arithmetic of the historical whole-population fill restricted to one
-    component, so single-component workloads (the golden fig5 pipeline)
-    reproduce the pre-incremental engine bit for bit.
-    """
-    alloc: dict[Flow, float] = {f: 0.0 for f in flows}
-    residual: dict[FluidResource, float] = {}
-    for f in flows:
-        for res in f.resources():
-            residual.setdefault(res, res.capacity)
-    active = list(flows)
-    while active:
-        delta = min(caps[f] - alloc[f] for f in active)
-        counts: dict[FluidResource, int] = {}
-        for f in active:
-            for res in f.resources():
-                counts[res] = counts.get(res, 0) + 1
-        for res, n in counts.items():
-            delta = min(delta, residual[res] / n)
-        if delta > _EPS:
-            for f in active:
-                alloc[f] += delta
-                for res in f.resources():
-                    residual[res] -= delta
-            for res in residual:
-                if residual[res] < 0:  # numerical guard
-                    residual[res] = 0.0
-        still = []
-        for f in active:
-            capped = alloc[f] >= caps[f] - _EPS
-            saturated = any(residual[res] <= _EPS for res in f.resources())
-            if not capped and not saturated:
-                still.append(f)
-        if len(still) == len(active):
-            break  # no progress possible without a freeze: stop
-        active = still
-    return alloc
 
 
 class FluidNetwork:
@@ -261,7 +227,10 @@ class FluidNetwork:
     def __init__(self, sim: Simulator, metrics=None,
                  incremental: bool = True) -> None:
         self.sim = sim
-        self.flows: _OrderedSet = _OrderedSet()
+        #: live flows in arrival order, each mapped to its resources'
+        #: member sets (the adjacency :func:`~repro.sim.maxmin.component`
+        #: walks).
+        self.flows: dict[Flow, tuple] = {}
         #: re-solve only dirty contention components (False: re-fill every
         #: component each epoch — same schedules, more work; kept for the
         #: full≡incremental identity matrix and as a debugging fallback).
@@ -288,6 +257,9 @@ class FluidNetwork:
         self.fill_cache_hits = 0
         #: interned routes, keyed by ``(path, peak)``.
         self._routes: dict[tuple, _Route] = {}
+        #: capacity and freeze slack (absolute) of every routed resource.
+        self._capacity: dict[FluidResource, float] = {}
+        self._res_slack: dict[FluidResource, float] = {}
         #: fill cache: member route ids in arrival order -> their rates.
         self._fills: dict[tuple, tuple] = {}
         self._metrics = metrics
@@ -328,9 +300,12 @@ class FluidNetwork:
         route = self._routes.get(key)
         if route is None:
             route = self._routes[key] = _Route(len(self._routes), flow.path)
+            for res in route.resources:
+                self._capacity[res] = res.capacity
+                self._res_slack[res] = _EPS
         flow._route = route
         flow._seq = next(self._seq)
-        self.flows.add(flow)
+        self.flows[flow] = route.groups
         for res in route.resources:
             res.flows.add(flow)
         for res in route.dma:
@@ -338,30 +313,11 @@ class FluidNetwork:
 
     def _detach(self, flow: Flow) -> None:
         route = flow._route
-        self.flows.discard(flow)
+        del self.flows[flow]
         for res in route.resources:
             res.flows.discard(flow)
         for res in route.dma:
             res.dma_flows -= 1
-
-    def _component(self, seed: Flow, visited: set) -> list[Flow]:
-        """The live contention component containing ``seed`` (arrival
-        order), grown breadth-first over shared resources."""
-        visited.add(seed)
-        comp = [seed]
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for res in f._route.resources:
-                    for o in res.flows:
-                        if o not in visited:
-                            visited.add(o)
-                            comp.append(o)
-                            nxt.append(o)
-            frontier = nxt
-        comp.sort(key=lambda f: f._seq)
-        return comp
 
     def _effective_cap(self, flow: Flow) -> float:
         """Flow's standalone cap with PIO-under-DMA applied, from the
@@ -406,7 +362,7 @@ class FluidNetwork:
         for seed in seeds:
             if seed in visited or seed not in self.flows:
                 continue
-            comp = self._component(seed, visited)
+            comp = component(seed, visited, self.flows, _ARRIVAL)
             touched += len(comp)
             filled += 1
             if telemetry:
@@ -414,8 +370,10 @@ class FluidNetwork:
             shape = tuple([f._route.id for f in comp])
             rates = fills.get(shape)
             if rates is None:
-                caps = {f: self._effective_cap(f) for f in comp}
-                rates = tuple(_fill_component(comp, caps).values())
+                rates = tuple(fill([f._route.fp for f in comp],
+                                   [self._effective_cap(f) for f in comp],
+                                   self._capacity, [_EPS] * len(comp),
+                                   self._res_slack))
                 if len(fills) >= _FILL_CACHE_MAX:
                     fills.clear()
                 fills[shape] = rates
@@ -484,19 +442,7 @@ class FluidNetwork:
         finished = [f for f in self.flows if f.remaining <= 1e-6 * max(1.0, f.size)]
         if not (self.flows or finished):
             return
-        # Seeds for the post-removal recompute: every live flow sharing a
-        # resource with a finisher.  BFS closure from these covers the
-        # finishers' whole former component(s) — any flow whose allocation
-        # can change — and nothing else.
-        gone = set(finished)
-        seeds = []
-        seen = set()
-        for flow in finished:
-            for res in flow._route.resources:
-                for o in res.flows:
-                    if o not in gone and o not in seen:
-                        seen.add(o)
-                        seeds.append(o)
+        seeds = neighbours(finished, self.flows)
         for flow in finished:
             self._finish(flow)
         self._recompute(seeds)
@@ -512,16 +458,14 @@ class FluidNetwork:
         components are independent, so this changes no allocation, only
         the work done.
         """
-        flows = list(flows)
-        if not flows:
-            return {}
+        flows = list(dict.fromkeys(flows))
         members: dict[FluidResource, list[Flow]] = {}
         for f in flows:
             for res in f.resources():
                 members.setdefault(res, []).append(f)
         # Effective per-flow cap: standalone peak, divided by the resource
         # slowdown when this flow is PIO on a resource that also carries DMA.
-        caps: dict[Flow, float] = {}
+        caps = []
         for f in flows:
             cap = f.peak
             for res, kind in f.path:
@@ -529,31 +473,9 @@ class FluidNetwork:
                         o is not f and o.kind_on(res) == DMA
                         for o in members[res]):
                     cap = min(cap, f.peak / res.preempt_slowdown)
-            caps[f] = cap
-        # Partition into contention components (flows sharing no resource,
-        # directly or transitively, never interact).
-        comp_of: dict[Flow, int] = {}
-        n_comps = 0
-        for f in flows:
-            if f in comp_of:
-                continue
-            comp_of[f] = n_comps
-            frontier = [f]
-            while frontier:
-                nxt = []
-                for g in frontier:
-                    for res in g.resources():
-                        for o in members[res]:
-                            if o not in comp_of:
-                                comp_of[o] = n_comps
-                                nxt.append(o)
-                frontier = nxt
-            n_comps += 1
-        groups: list[list[Flow]] = [[] for _ in range(n_comps)]
-        for f in flows:
-            if not groups[comp_of[f]] or groups[comp_of[f]][-1] is not f:
-                groups[comp_of[f]].append(f)
-        alloc: dict[Flow, float] = {}
-        for group in groups:
-            alloc.update(_fill_component(group, caps))
-        return alloc
+            caps.append(cap)
+        rates = fill_all([tuple((res, 1.0) for res in f.resources())
+                          for f in flows], caps,
+                         {res: res.capacity for res in members},
+                         [_EPS] * len(flows), dict.fromkeys(members, _EPS))
+        return dict(zip(flows, rates))

@@ -26,17 +26,27 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from ..scenario import Scenario
+from ..sim.maxmin import component, fill, fill_all, neighbours
 from .network import RoutedFlow, SolverNetwork
 
 __all__ = ["FlowEstimate", "SolverResult", "max_min_rates", "solve",
            "solve_bandwidth"]
 
 _REL_EPS = 1e-9
+
+#: sort key putting component members in arrival (admission) order.
+_ARRIVAL = attrgetter("seq")
+
+
+def _slack(x: float) -> float:
+    """Freeze slack of a ceiling or capacity ``x`` (relative, floored)."""
+    return _REL_EPS * max(1.0, x)
 
 
 def max_min_rates(flows: Sequence[RoutedFlow],
@@ -50,35 +60,15 @@ def max_min_rates(flows: Sequence[RoutedFlow],
     most ``len(flows)`` rounds.  A flow's ``footprint`` weights count how
     many times it crosses a resource (a gateway's PCI bus carries each
     forwarded byte twice), so ``rate × weight`` is what a flow consumes.
+
+    The fill itself is the shared :func:`repro.sim.maxmin.fill_all`, with
+    freeze slacks of 1e-9 relative to each ceiling and capacity.
     """
-    rate = {f.id: 0.0 for f in flows}
-    used = {key: 0.0 for key in capacities}
-    active = list(flows)
-    while active:
-        load: dict = {}
-        for f in active:
-            for key, w in f.footprint:
-                load[key] = load.get(key, 0.0) + w
-        inc = min(f.ceiling - rate[f.id] for f in active)
-        for key, demand in load.items():
-            inc = min(inc, (capacities[key] - used[key]) / demand)
-        inc = max(inc, 0.0)
-        for f in active:
-            rate[f.id] += inc
-            for key, w in f.footprint:
-                used[key] += w * inc
-        saturated = {
-            key for key in load
-            if capacities[key] - used[key] <= _REL_EPS * max(1.0,
-                                                             capacities[key])
-        }
-        rest = [f for f in active
-                if rate[f.id] < f.ceiling - _REL_EPS * max(1.0, f.ceiling)
-                and not any(key in saturated for key, _w in f.footprint)]
-        if len(rest) == len(active):   # numerical stall: nothing froze
-            break                      # pragma: no cover
-        active = rest
-    return rate
+    rates = fill_all([f.footprint for f in flows],
+                     [f.ceiling for f in flows], capacities,
+                     [_slack(f.ceiling) for f in flows],
+                     {key: _slack(c) for key, c in capacities.items()})
+    return {f.id: r for f, r in zip(flows, rates)}
 
 
 @dataclass(frozen=True)
@@ -198,90 +188,20 @@ class _Rail:
     state — and its predicted finish — across epochs verbatim.
     """
 
-    __slots__ = ("rf", "fp", "rem", "t_last", "rate", "version", "seq")
+    __slots__ = ("rf", "fp", "ceiling", "slack", "rem", "t_last", "rate",
+                 "version", "seq")
 
     def __init__(self, rf: RoutedFlow, seq: int) -> None:
         self.rf = rf
         #: (resource id, weight) pairs — footprint with interned keys.
         self.fp = tuple(zip(rf.res_ids, (w for _k, w in rf.footprint)))
+        self.ceiling = rf.ceiling
+        self.slack = _slack(rf.ceiling)
         self.rem = float(rf.nbytes)
         self.t_last = rf.arrival + rf.setup_us
         self.rate = 0.0
         self.version = 0
         self.seq = seq
-
-
-def _fill_solver_component(comp: list, capacities: list) -> dict:
-    """Progressive filling of one contention component of active rails.
-
-    The rounds mirror :func:`max_min_rates` (same freeze slack, same
-    saturation test, same stall break) restricted to the component; since
-    components share no resources, the component-wise fixed points compose
-    to the global one.  Two arithmetic shortcuts keep each round linear in
-    ``active + resources`` instead of ``active × footprint``: a resource's
-    demand is maintained across rounds (frozen flows subtract their weights
-    on exit) rather than rebuilt, and its usage advances by
-    ``demand × inc`` in one step rather than per member — both reorder
-    float sums, so rates can drift ulps (≪ the 1e-9 crosscheck gate) from
-    the reference filling, never past a freeze slack.
-    """
-    n = len(comp)
-    ceils = [rail.rf.ceiling for rail in comp]
-    slacks = [_REL_EPS * max(1.0, c) for c in ceils]
-    fps = [rail.fp for rail in comp]
-    rate = [0.0] * n
-    load: dict = {}              # resource id -> total active demand
-    count: dict = {}             # resource id -> active member count
-    used: dict = {}
-    for fp in fps:
-        for i, w in fp:
-            load[i] = load.get(i, 0.0) + w
-            count[i] = count.get(i, 0) + 1
-            used[i] = 0.0
-    cap_slack = {i: _REL_EPS * (capacities[i] if capacities[i] > 1.0 else 1.0)
-                 for i in load}
-    active = list(range(n))
-    while active:
-        inc = math.inf
-        for k in active:
-            head = ceils[k] - rate[k]
-            if head < inc:
-                inc = head
-        for i, demand in load.items():
-            head = (capacities[i] - used[i]) / demand
-            if head < inc:
-                inc = head
-        if inc < 0.0:
-            inc = 0.0
-        saturated = set()
-        for i, demand in load.items():
-            u = used[i] + demand * inc
-            used[i] = u
-            if capacities[i] - u <= cap_slack[i]:
-                saturated.add(i)
-        rest = []
-        for k in active:
-            r = rate[k] + inc
-            rate[k] = r
-            if r < ceils[k] - slacks[k] and not (
-                    saturated and any(i in saturated for i, _w in fps[k])):
-                rest.append(k)
-        if len(rest) == len(active):   # numerical stall: nothing froze
-            break                      # pragma: no cover
-        j = 0
-        for k in active:               # retire the flows that froze
-            if j < len(rest) and rest[j] == k:
-                j += 1
-                continue
-            for i, w in fps[k]:
-                count[i] -= 1
-                if count[i]:
-                    load[i] -= w
-                else:
-                    del load[i]
-                    del count[i]
-        active = rest
-    return {rail.rf.id: rate[k] for k, rail in enumerate(comp)}
 
 
 def solve(scenario: Scenario, node_params=None, gateway_params=None,
@@ -308,6 +228,7 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
     res_keys = net.res_keys()
     caps = {key: net.resources[key].capacity for key in res_keys}
     capacities = [caps[key] for key in res_keys]      # dense, by resource id
+    res_slack = [_slack(c) for c in capacities]
     apps = _application_flows(scenario)
     rails: list[RoutedFlow] = []
     meta = {}           # app index -> (src, dst, nbytes, arrival, setup, k)
@@ -323,13 +244,13 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
     # ``pending.pop(0)`` re-shuffled the whole list on every admission.
     arrivals = sorted(rails, key=lambda r: (r.arrival + r.setup_us, r.id))
     cursor = 0
-    active: dict = {}                     # rail id -> _Rail
-    members: list[dict] = [{} for _ in res_keys]   # res id -> {rail id: _Rail}
+    active: dict = {}     # _Rail (admission order) -> its resources' members
+    members: list[dict] = [{} for _ in res_keys]   # res id -> {_Rail: None}
     finish: dict = {}                     # rail id -> finish time
     util = [0.0] * len(res_keys)          # integral of allocated load, bytes
     res_rate = [0.0] * len(res_keys)      # current total weighted rate
     res_last = [0.0] * len(res_keys)      # last settle time
-    heap: list = []                       # (t_pred, seq, rail id, version)
+    heap: list = []                       # (t_pred, seq, _Rail, version)
     now = 0.0
     seq = 0
     recomputes = 0
@@ -347,9 +268,8 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
     def next_finish() -> float:
         """Earliest predicted rail finish (lazy-dropping stale entries)."""
         while heap:
-            t_pred, _s, rid, version = heap[0]
-            rail = active.get(rid)
-            if rail is None or rail.version != version:
+            t_pred, _s, rail, version = heap[0]
+            if rail not in active or rail.version != version:
                 heapq.heappop(heap)
                 continue
             return t_pred
@@ -359,34 +279,22 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
         """Re-fill the contention component(s) reachable from ``seeds``."""
         nonlocal recomputes, epoch_flows, live_flow_epochs, crosscheck_dev
         if not incremental:
-            seeds = list(active.values())
+            seeds = list(active)
         visited: set = set()
         touched = 0
         for seed in seeds:
-            if seed.rf.id in visited or seed.rf.id not in active:
+            if seed in visited or seed not in active:
                 continue
-            comp = [seed]
-            visited.add(seed.rf.id)
-            frontier = [seed]
-            while frontier:
-                grown = []
-                for rail in frontier:
-                    for i, _w in rail.fp:
-                        for orid, (other, _ow) in members[i].items():
-                            if orid not in visited:
-                                visited.add(orid)
-                                comp.append(other)
-                                grown.append(other)
-                frontier = grown
-            comp.sort(key=lambda rail: rail.seq)
+            comp = component(seed, visited, active, _ARRIVAL)
             touched += len(comp)
             component_sizes[len(comp)] = component_sizes.get(len(comp), 0) + 1
             comp_res = {i for rail in comp for i, _w in rail.fp}
             for i in comp_res:
                 settle_resource(i, now)
-            rates = _fill_solver_component(comp, capacities)
-            for rail in comp:
-                r = rates[rail.rf.id]
+            rates = fill([rail.fp for rail in comp],
+                         [rail.ceiling for rail in comp], capacities,
+                         [rail.slack for rail in comp], res_slack)
+            for rail, r in zip(comp, rates):
                 if r <= 0.0:
                     raise RuntimeError(
                         f"fluid flow {rail.rf.id} starved (rate 0); resource "
@@ -403,14 +311,13 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
                     rail.rate = r
                     rail.version += 1
                     heapq.heappush(heap, (now + rail.rem / r, rail.seq,
-                                          rail.rf.id, rail.version))
+                                          rail, rail.version))
         recomputes += 1
         epoch_flows += touched
         live_flow_epochs += len(active)
         if crosscheck and active:
-            oracle = max_min_rates([rail.rf for rail in active.values()],
-                                   caps)
-            for rail in active.values():
+            oracle = max_min_rates([rail.rf for rail in active], caps)
+            for rail in active:
                 ref = oracle[rail.rf.id]
                 dev = abs(rail.rate - ref) / max(1.0, abs(ref))
                 crosscheck_dev = max(crosscheck_dev, dev)
@@ -430,9 +337,8 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
         # so the qualifying prefix is contiguous up to the 1e-6 slack).
         done = []
         while heap:
-            t_pred, _s, rid, version = heap[0]
-            rail = active.get(rid)
-            if rail is None or rail.version != version:
+            t_pred, _s, rail, version = heap[0]
+            if rail not in active or rail.version != version:
                 heapq.heappop(heap)
                 continue
             if t_pred <= now + 1e-6 / rail.rate:   # rem(now) <= 1e-6 bytes
@@ -440,24 +346,18 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
                 done.append(rail)
             else:
                 break
-        seeds = []
-        seen = set()
+        seeds = neighbours(done, active)
         for rail in done:
             finish[rail.rf.id] = now
-            del active[rail.rf.id]
-        for rail in done:
+            del active[rail]
             for i, w in rail.fp:
                 settle_resource(i, now)
-                del members[i][rail.rf.id]
+                del members[i][rail]
                 if members[i]:
                     res_rate[i] -= rail.rate * w
-                    for orid, (other, _ow) in members[i].items():
-                        if orid not in seen:
-                            seen.add(orid)
-                            seeds.append(other)
                 else:
                     res_rate[i] = 0.0
-        seeds.sort(key=lambda rail: rail.seq)
+        seeds.sort(key=_ARRIVAL)
         while cursor < len(arrivals) and \
                 arrivals[cursor].arrival + arrivals[cursor].setup_us \
                 <= now + _REL_EPS:
@@ -469,9 +369,9 @@ def solve(scenario: Scenario, node_params=None, gateway_params=None,
             rail = _Rail(rf, seq)
             seq += 1
             rail.t_last = now
-            active[rf.id] = rail
-            for i, w in rail.fp:
-                members[i][rf.id] = (rail, w)
+            active[rail] = tuple(members[i] for i, _w in rail.fp)
+            for i, _w in rail.fp:
+                members[i][rail] = None
             seeds.append(rail)
         resolve(seeds)
 

@@ -22,19 +22,14 @@ from hypothesis import given, settings, strategies as st
 from repro.madeleine import reset_global_ids
 from repro.sim import DMA, PIO, FluidNetwork, FluidResource, Simulator, fluid
 from repro.sim.fluid import Flow
+from repro.sim.maxmin import neighbours
 from repro.telemetry import Telemetry
 
 
 def _remove(net: FluidNetwork, flow: Flow) -> None:
     """Remove a live flow the way ``_on_wake`` does: seed the recompute
     with the remaining members of its former component."""
-    seeds = []
-    seen = set()
-    for res in flow.resources():
-        for o in res.flows:
-            if o is not flow and o not in seen:
-                seen.add(o)
-                seeds.append(o)
+    seeds = neighbours([flow], net.flows)
     net._detach(flow)
     flow.rate = 0.0
     net._recompute(seeds)

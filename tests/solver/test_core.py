@@ -4,8 +4,10 @@ with the closed-form §3.3.1 predictions."""
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.model import predict_forwarding, predict_multirail
+from repro.bench.scale import _pr8_max_min_rates
 from repro.hw.params import PROTOCOLS
 from repro.solver import (RoutedFlow, SolverNetwork, max_min_rates, solve,
                           solve_bandwidth)
@@ -79,6 +81,37 @@ def test_bottleneck_flow_does_not_drag_unrelated_flows():
     rates = max_min_rates(flows, caps)
     assert rates["slow"] == pytest.approx(2.0)
     assert rates["fast"] == pytest.approx(50.0)
+
+
+@st.composite
+def _components(draw):
+    """(flows, capacities): 1–12 flows over a pool of at most 5 resources,
+    so resources repeat across footprints, with weights in [1, 2]."""
+    n_res = draw(st.integers(1, 5))
+    caps = {f"r{i}": draw(st.floats(1.0, 500.0)) for i in range(n_res)}
+    flows = []
+    for fid in range(draw(st.integers(1, 12))):
+        keys = draw(st.lists(st.sampled_from(sorted(caps)), min_size=1,
+                             max_size=n_res, unique=True))
+        fp = [(key, draw(st.sampled_from((1, 2)) | st.floats(1.0, 2.0)))
+              for key in keys]
+        flows.append(_flow(fid, draw(st.floats(0.5, 400.0)), fp))
+    return flows, caps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_components())
+def test_shared_fill_matches_the_frozen_reference_fill(data):
+    # max_min_rates runs the engine shared with the DES; the frozen
+    # reference in bench/scale.py is an independent whole-population
+    # fill.  They differ only in summation order and the engine's 1e-9
+    # minimum step.
+    flows, caps = data
+    rates = max_min_rates(flows, caps)
+    ref = _pr8_max_min_rates(flows, caps)
+    assert rates.keys() == ref.keys()
+    for fid, r in ref.items():
+        assert abs(rates[fid] - r) <= 1e-9 * max(1.0, abs(r))
 
 
 # -- exact composition with the closed-form predictions ----------------------
