@@ -44,6 +44,14 @@ class PingResult:
         return self.size / self.one_way_us
 
 
+def _ranks(session: Session, direction: str) -> tuple[int, int]:
+    """``direction``: "a0->b0" (first protocol first) or "b0->a0"."""
+    if direction not in ("a0->b0", "b0->a0"):
+        raise ValueError(f"bad direction {direction!r}")
+    src, dst = direction.split("->")
+    return session.rank(src), session.rank(dst)
+
+
 def measure_ack_latency(session: Session, ack_channel: RealChannel,
                         src: int, dst: int) -> float:
     """Calibrate the ack: one 4-byte message dst -> src on the ack channel."""
@@ -181,13 +189,35 @@ class PingHarness:
     def measure(self, size: int, direction: str = "b0->a0") -> PingResult:
         """``direction``: "a0->b0" (first protocol first) or "b0->a0"."""
         world, session, vch, ack = self.build()
-        if direction == "a0->b0":
-            src, dst = session.rank("a0"), session.rank("b0")
-        elif direction == "b0->a0":
-            src, dst = session.rank("b0"), session.rank("a0")
-        else:
-            raise ValueError(f"bad direction {direction!r}")
-        return one_way_ping(session, vch, ack, src, dst, size)
+        return one_way_ping(session, vch, ack, *_ranks(session, direction),
+                            size)
+
+    def transfer(self, buffers, direction: str = "b0->a0"):
+        """Send one message of ``buffers`` and receive it, with metrics on
+        (they create no simulator events, so the schedule is unchanged);
+        returns ``(world, session, completion time)``."""
+        world, session, vch, _ack = self.build()
+        world.telemetry.metrics.enable()
+        src, dst = _ranks(session, direction)
+        done = {}
+
+        def snd():
+            m = vch.endpoint(src).begin_packing(dst)
+            for b in buffers:
+                yield m.pack(b)
+            yield m.end_packing()
+
+        def rcv():
+            inc = yield vch.endpoint(dst).begin_unpacking()
+            for b in buffers:
+                _ev, _b = inc.unpack(len(b))
+            yield inc.end_unpacking()
+            done["t"] = session.now
+
+        session.spawn(snd())
+        session.spawn(rcv())
+        session.run()
+        return world, session, done["t"]
 
 
 class MultirailHarness:
@@ -247,10 +277,5 @@ class MultirailHarness:
 
     def measure(self, size: int, direction: str = "a0->b0") -> PingResult:
         world, session, vch, ack = self.build()
-        if direction == "a0->b0":
-            src, dst = session.rank("a0"), session.rank("b0")
-        elif direction == "b0->a0":
-            src, dst = session.rank("b0"), session.rank("a0")
-        else:
-            raise ValueError(f"bad direction {direction!r}")
-        return one_way_ping(session, vch, ack, src, dst, size)
+        return one_way_ping(session, vch, ack, *_ranks(session, direction),
+                            size)

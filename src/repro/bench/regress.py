@@ -25,6 +25,9 @@ Two classes of check:
   over the depth-2/static-MTU paper configuration, and header batching's
   wire-record reduction on a many-small-buffers message.
 
+Every check is a row of the gate table in :mod:`repro.bench.gates`, judged
+by its one evaluator.
+
 Refresh the baseline after an intentional change with
 ``repro bench --regress --update-baseline`` and commit the result.
 """
@@ -32,60 +35,25 @@ Refresh the baseline after an intentional change with
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 import zlib
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
+from .gates import BAND, FCT_AGREEMENT, FLOORS, PRE_PR3, evaluate
 from .jsonio import dump_json
 from .ping import PingHarness
 from .sweep import figure_sweep
 
-__all__ = ["run_regress", "compare_to_baseline", "format_report",
-           "DEFAULT_BASELINE", "DEFAULT_OUT", "DEFAULT_TOLERANCE",
-           "DEFAULT_FLOORS"]
+__all__ = ["run_regress", "gate_rows", "compare_to_baseline", "format_report",
+           "DEFAULT_BASELINE", "DEFAULT_OUT", "DEFAULT_TOLERANCE"]
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 DEFAULT_BASELINE = _REPO_ROOT / "benchmarks" / "baselines" / "bench_regress.json"
 DEFAULT_OUT = _REPO_ROOT / "BENCH_PR3.json"
-DEFAULT_TOLERANCE = 0.10
-
-#: feature floors enforced by :func:`compare_to_baseline` (overridable by
-#: the committed baseline's ``floors`` mapping).
-DEFAULT_FLOORS = {
-    # depth-4 + tuned fragments must beat depth-2/static by >= 10% where
-    # the swap overhead dominates (the tentpole acceptance criterion).
-    "pipeline_depth4_gain": 0.10,
-    # header batching must keep cutting wire records on a message of many
-    # sub-MTU buffers (its real benefit; invisible on fig5, see docs).
-    "batching_record_reduction": 0.25,
-    # dual-rail striping must keep aggregating bandwidth: >= 1.5x the
-    # single-rail figure at 8 KB paquets on the dual-gateway topology.
-    "multirail_dual_gain": 1.5,
-    # scale-out kernel cost must stay sub-linear in flow count: events/MB
-    # may grow by at most this factor from 8 to 64 concurrent flows on the
-    # 4x4 torus (a *maximum*, unlike the gain floors above).
-    "sweep_nodes_event_growth": 1.3,
-    # the incremental fluid-rate engine must keep epochs local: on the
-    # 256-node torus uniform-traffic cell, each DES rate epoch may re-solve
-    # at most this mean fraction of the live flows (a *maximum*).
-    "incremental_recompute_fraction": 0.25,
-    # and the solver sweep grid must stay at least this much faster than
-    # the PR 8 epoch loop (re-run in the same process, so the ratio is
-    # machine-independent).
-    "incremental_solver_speedup": 2.0,
-    # the adaptive transport policy (docs/adaptive.md) must keep beating
-    # the static round-robin configuration on the mixed small-heavy
-    # workload by >= 15% aggregate bandwidth ...
-    "adaptive_mixed_gain": 1.15,
-    # ... while sharing it fairly: Jain index of the per-flow bandwidths.
-    "adaptive_jain_fairness": 0.9,
-    # and after a permanent rail loss, fail-fast re-striping must hold the
-    # striped-transfer bandwidth at >= 70% of the surviving-rail optimum.
-    "adaptive_recovery_fraction": 0.7,
-}
+DEFAULT_TOLERANCE = BAND.default
 
 #: fig5/fig8 use the paper's balanced configuration: 2 MB over 64 KB paquets.
 _PACKET = 64 << 10
@@ -105,37 +73,17 @@ def _one_transfer(header_batching: bool = False):
     from ..analysis import extract_timeline, pipeline_stats
     from ..hw.fabric import FRAGMENT_HEADER_BYTES
 
-    harness = PingHarness(packet_size=_PACKET,
-                          header_batching=header_batching)
-    world, session, vch, _ack = harness.build()
-    # Metrics create no simulator events, so enabling them is
-    # schedule-preserving; they expose the wire-record count header
-    # batching is actually about.
-    world.telemetry.metrics.enable()
-    data = np.zeros(_MESSAGE, dtype=np.uint8)
-    done = {}
-
-    def snd():
-        m = vch.endpoint(session.rank("b0")).begin_packing(session.rank("a0"))
-        yield m.pack(data)
-        yield m.end_packing()
-
-    def rcv():
-        inc = yield vch.endpoint(session.rank("a0")).begin_unpacking()
-        _ev, _b = inc.unpack(_MESSAGE)
-        yield inc.end_unpacking()
-        done["t"] = session.now
-
-    session.spawn(snd())
-    session.spawn(rcv())
-    session.run()
+    world, session, elapsed = PingHarness(
+        packet_size=_PACKET, header_batching=header_batching,
+    ).transfer([np.zeros(_MESSAGE, dtype=np.uint8)])
     stats = pipeline_stats(extract_timeline(world.trace))
     sim = session.sim
     mb = _MESSAGE / (1 << 20)
+    # The metrics expose the wire-record count header batching is about.
     records = world.telemetry.metrics.total("wire.fragments")
     return {
-        "elapsed_us": done["t"],
-        "bandwidth_mbs": _MESSAGE / done["t"],
+        "elapsed_us": elapsed,
+        "bandwidth_mbs": _MESSAGE / elapsed,
         "events_processed": float(sim.events_processed),
         "events_cancelled": float(sim.events_cancelled),
         "events_per_mb": sim.events_processed / mb,
@@ -194,30 +142,12 @@ def _scenario_fig8() -> dict:
     from ..hw import SCI
 
     def ratios(direction: str):
-        harness = PingHarness(packet_size=_PACKET)
-        world, session, vch, _ack = harness.build()
-        data = np.zeros(_MESSAGE, dtype=np.uint8)
-        src, dst = (("a0", "b0") if direction == "myri->sci"
-                    else ("b0", "a0"))
-
-        def snd():
-            m = vch.endpoint(session.rank(src)).begin_packing(
-                session.rank(dst))
-            yield m.pack(data)
-            yield m.end_packing()
-
-        def rcv():
-            inc = yield vch.endpoint(session.rank(dst)).begin_unpacking()
-            _ev, _b = inc.unpack(_MESSAGE)
-            yield inc.end_unpacking()
-
-        session.spawn(snd())
-        session.spawn(rcv())
-        session.run()
+        world, _session, _t = PingHarness(packet_size=_PACKET).transfer(
+            [np.zeros(_MESSAGE, dtype=np.uint8)], direction)
         return pipeline_stats(extract_timeline(world.trace))
 
-    stats_ms = ratios("myri->sci")
-    stats_sm = ratios("sci->myri")
+    stats_ms = ratios("a0->b0")   # Myrinet -> SCI
+    stats_sm = ratios("b0->a0")
     nominal_send = (SCI.tx_overhead + SCI.latency
                     + (_PACKET + 16) / SCI.host_peak)
     return {
@@ -263,31 +193,10 @@ def _many_buffer_transfer(header_batching: bool):
     where header batching actually removes wire records; on fig5's single
     2 MB buffer the shortened head fragment pushes a tail fragment and the
     record count is unchanged)."""
-    harness = PingHarness(packet_size=_PACKET,
-                          header_batching=header_batching)
-    world, session, vch, _ack = harness.build()
-    world.telemetry.metrics.enable()
-    bufs = [np.zeros(8 << 10, dtype=np.uint8) for _ in range(32)]
-    done = {}
-
-    def snd():
-        m = vch.endpoint(session.rank("b0")).begin_packing(session.rank("a0"))
-        for b in bufs:
-            yield m.pack(b)
-        yield m.end_packing()
-
-    def rcv():
-        inc = yield vch.endpoint(session.rank("a0")).begin_unpacking()
-        for b in bufs:
-            _ev, _b = inc.unpack(len(b))
-        yield inc.end_unpacking()
-        done["t"] = session.now
-
-    session.spawn(snd())
-    session.spawn(rcv())
-    session.run()
-    records = world.telemetry.metrics.total("wire.fragments")
-    return done["t"], float(records)
+    world, _session, elapsed = PingHarness(
+        packet_size=_PACKET, header_batching=header_batching,
+    ).transfer([np.zeros(8 << 10, dtype=np.uint8) for _ in range(32)])
+    return elapsed, float(world.telemetry.metrics.total("wire.fragments"))
 
 
 def _scenario_batching() -> dict:
@@ -418,145 +327,37 @@ def run_regress(quick: bool = False, progress=None,
     return results
 
 
-def compare_to_baseline(current: dict, baseline: dict,
-                        tolerance: Optional[float] = None) -> list[str]:
-    """Return a list of failure messages (empty means the run passes).
-
-    Every metric of every scenario present in *both* the baseline and the
-    current run must sit within the tolerance band; the fig5 event cost
-    must additionally honour the committed ``min_event_reduction`` against
-    the ``pre_pr3`` kernel reference.
-    """
-    tol = baseline.get("tolerance", DEFAULT_TOLERANCE) \
-        if tolerance is None else tolerance
-    failures = []
-    base_scen = baseline.get("scenarios", {})
-    for name, metrics in base_scen.items():
-        if name not in current:
-            continue   # e.g. a --quick run skipped the sweeps
-        for metric, base in metrics.items():
-            if metric.startswith("wall_") or metric == "solver_speedup":
-                # Wall-clock measurements vary with the machine; the
-                # speedup commitment is enforced one-sidedly by the
-                # ``incremental_solver_speedup`` floor below instead.
-                continue
-            cur = current[name].get(metric)
-            # Non-finite metrics serialize as null (see bench.jsonio);
-            # neither side of a comparison may be null/NaN — that means a
-            # scenario produced no measurable value, which is itself a
-            # failure, never a silent pass.
-            if base is None or (isinstance(base, float)
-                                and not math.isfinite(base)):
-                failures.append(
-                    f"{name}.{metric}: committed baseline value is "
-                    f"{base!r}; re-measure and update the baseline")
-                continue
-            if cur is None:
-                failures.append(f"{name}.{metric}: missing from this run")
-                continue
-            if isinstance(cur, float) and not math.isfinite(cur):
-                failures.append(
-                    f"{name}.{metric}: non-finite ({cur!r}) — the scenario "
-                    f"produced no measurable value")
-                continue
-            band = tol * max(abs(base), 1e-9)
-            if abs(cur - base) > band:
-                failures.append(
-                    f"{name}.{metric}: {cur:.6g} drifted from baseline "
-                    f"{base:.6g} (>{tol:.0%})")
+def gate_rows(current: dict, baseline: dict) -> list[tuple]:
+    """The ``(gate, bound)`` rows the committed baseline puts on a run:
+    a tolerance band per baseline metric, the ``pre_pr3`` event-cost
+    ceiling, one row per committed floor and the ``fct_agreement_ok`` hard
+    gate — only for scenarios that ran (``--quick`` skips the sweeps)."""
+    rows = [(replace(BAND, path=f"{name}.{metric}"), base)
+            for name, metrics in baseline.get("scenarios", {}).items()
+            for metric, base in metrics.items()
+            # Wall clock varies with the machine; the speedup commitment
+            # is held one-sidedly by the incremental_solver_speedup floor.
+            if not metric.startswith("wall_") and metric != "solver_speedup"]
     pre = baseline.get("pre_pr3", {})
     ref = pre.get("fig5_events_per_mb")
-    floor = pre.get("min_event_reduction", 0.0)
-    if ref and "fig5" in current:
-        cur = current["fig5"]["events_per_mb"]
-        reduction = 1.0 - cur / ref
-        if reduction < floor - 1e-9:
-            failures.append(
-                f"fig5.events_per_mb: {cur:.1f} is only {reduction:.1%} "
-                f"below the pre-optimisation kernel ({ref:.1f}); the "
-                f"hot-path pass guarantees >= {floor:.0%}")
+    if ref:
+        rows.append((PRE_PR3,
+                     ref * (1.0 - pre.get("min_event_reduction", 0.0))))
     floors = baseline.get("floors", {})
-    gain_floor = floors.get("pipeline_depth4_gain")
-    if gain_floor is not None and "pipeline" in current:
-        gain = current["pipeline"].get("depth4_gain", 0.0)
-        if gain < gain_floor - 1e-9:
-            failures.append(
-                f"pipeline.depth4_gain: {gain:.1%} is below the committed "
-                f"floor ({gain_floor:.0%}) — the depth-4 tuned pipeline "
-                f"stopped beating depth-2/static-MTU")
-    red_floor = floors.get("batching_record_reduction")
-    if red_floor is not None and "batching" in current:
-        red = current["batching"].get("record_reduction", 0.0)
-        if red < red_floor - 1e-9:
-            failures.append(
-                f"batching.record_reduction: {red:.1%} is below the "
-                f"committed floor ({red_floor:.0%}) — header batching "
-                f"stopped removing wire records")
-    rail_floor = floors.get("multirail_dual_gain")
-    if rail_floor is not None and "multirail" in current:
-        gain = current["multirail"].get("multirail_dual_gain", 0.0)
-        if gain < rail_floor - 1e-9:
-            failures.append(
-                f"multirail.multirail_dual_gain: {gain:.2f}x is below the "
-                f"committed floor ({rail_floor:.1f}x) — dual-rail striping "
-                f"stopped aggregating bandwidth")
-    growth_cap = floors.get("sweep_nodes_event_growth")
-    if growth_cap is not None and "sweep_nodes" in current:
-        growth = current["sweep_nodes"].get("event_growth", float("inf"))
-        if growth > growth_cap + 1e-9:
-            failures.append(
-                f"sweep_nodes.event_growth: {growth:.2f}x exceeds the "
-                f"committed ceiling ({growth_cap:.1f}x) — kernel cost per "
-                f"MB is no longer sub-linear in concurrent flow count")
-    frac_cap = floors.get("incremental_recompute_fraction")
-    if frac_cap is not None and "incremental_rates" in current:
-        frac = current["incremental_rates"].get("des_recompute_fraction",
-                                                float("inf"))
-        if frac > frac_cap + 1e-9:
-            failures.append(
-                f"incremental_rates.des_recompute_fraction: {frac:.1%} "
-                f"exceeds the committed ceiling ({frac_cap:.0%}) — rate "
-                f"epochs are no longer local to their contention component")
-    speed_floor = floors.get("incremental_solver_speedup")
-    if speed_floor is not None and "incremental_rates" in current:
-        speed = current["incremental_rates"].get("solver_speedup", 0.0)
-        if speed < speed_floor - 1e-9:
-            failures.append(
-                f"incremental_rates.solver_speedup: {speed:.2f}x is below "
-                f"the committed floor ({speed_floor:.1f}x) over the PR 8 "
-                f"epoch loop on the solver sweep grid")
-        agree = current["incremental_rates"].get("fct_agreement_ok", 0.0)
-        if agree < 1.0:
-            failures.append(
-                "incremental_rates.fct_agreement_ok: the incremental "
-                "solver's completion times diverged from the full "
-                "recomputation (or from the PR 8 reference loop)")
-    mixed_floor = floors.get("adaptive_mixed_gain")
-    if mixed_floor is not None and "adaptive" in current:
-        gain = current["adaptive"].get("adaptive_mixed_gain", 0.0)
-        if gain < mixed_floor - 1e-9:
-            failures.append(
-                f"adaptive.adaptive_mixed_gain: {gain:.2f}x is below the "
-                f"committed floor ({mixed_floor:.2f}x) — the adaptive "
-                f"transport stopped beating the static configuration on "
-                f"the mixed workload")
-    jain_floor = floors.get("adaptive_jain_fairness")
-    if jain_floor is not None and "adaptive" in current:
-        jain = current["adaptive"].get("adaptive_jain_fairness", 0.0)
-        if jain < jain_floor - 1e-9:
-            failures.append(
-                f"adaptive.adaptive_jain_fairness: {jain:.3f} is below the "
-                f"committed floor ({jain_floor:.2f}) — the adaptive policy "
-                f"is starving some flows to win its aggregate gain")
-    rec_floor = floors.get("adaptive_recovery_fraction")
-    if rec_floor is not None and "adaptive" in current:
-        frac = current["adaptive"].get("adaptive_recovery_fraction", 0.0)
-        if frac < rec_floor - 1e-9:
-            failures.append(
-                f"adaptive.adaptive_recovery_fraction: {frac:.2f} is below "
-                f"the committed floor ({rec_floor:.2f}) — post-rail-loss "
-                f"bandwidth fell away from the surviving-rail optimum")
-    return failures
+    rows += [(gate, floors[gate.key]) for gate in FLOORS if gate.key in floors]
+    if "incremental_solver_speedup" in floors:
+        rows.append((FCT_AGREEMENT, FCT_AGREEMENT.default))
+    return [(gate, bound) for gate, bound in rows
+            if gate.path.split(".")[0] in current]
+
+
+def compare_to_baseline(current: dict, baseline: dict,
+                        tolerance: Optional[float] = None) -> list[str]:
+    """Return a list of failure messages (empty means the run passes):
+    :func:`gate_rows` judged by :func:`repro.bench.gates.evaluate`."""
+    tol = baseline.get("tolerance", DEFAULT_TOLERANCE) \
+        if tolerance is None else tolerance
+    return evaluate(gate_rows(current, baseline), current, tol)
 
 
 def kernel_summary(current: dict, baseline: dict) -> dict:
@@ -628,7 +429,8 @@ def write_baseline(current: dict, path: pathlib.Path,
         else existing.get("pre_pr3", {}),
         # Feature floors survive refreshes too; they encode commitments, not
         # measurements.
-        "floors": {**DEFAULT_FLOORS, **existing.get("floors", {})},
+        "floors": {**{gate.key: gate.default for gate in FLOORS},
+                   **existing.get("floors", {})},
         "scenarios": {**existing.get("scenarios", {}), **current},
     }
     path.parent.mkdir(parents=True, exist_ok=True)

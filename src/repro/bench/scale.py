@@ -257,7 +257,8 @@ def _pr8_solve_finish_times(scenario: Scenario) -> dict:
 def incremental_rates_scenario() -> dict:
     """The regress cell for the incremental fluid-rate engine (PR 9).
 
-    Two committed guarantees (see ``DEFAULT_FLOORS``):
+    Two committed guarantees (the ``incremental_*`` rows of
+    :data:`repro.bench.gates.FLOORS`):
 
     * **DES locality** — on the 256-node torus uniform-traffic cell, the
       mean fraction of live flows whose rates each epoch re-solves stays

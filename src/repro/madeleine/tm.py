@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from ..hw.fabric import NIC
 from ..memory import Buffer, StaticBufferPool
 from ..sim import Event
-from .wire import ANNOUNCE_BYTES, Announce, decode_announce, encode_announce
+from .wire import ANNOUNCE_BYTES, Announce, encode_announce
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import RealChannel
@@ -66,7 +66,7 @@ class TransmissionModule:
         """Post a slot for the next announce arriving at this endpoint.
 
         The event value is ``(meta, nbytes)``; decode the buffer with
-        :func:`decode_announce_buffer` afterwards.
+        :func:`~repro.madeleine.wire.decode_announce` afterwards.
         """
         if len(buffer) < ANNOUNCE_BYTES:
             raise ValueError("announce buffer too small")
@@ -91,8 +91,3 @@ class TransmissionModule:
 def peer_tm_announce_tag(channel: "RealChannel", dst: int) -> tuple:
     return ("ann", channel.id, dst)
 
-
-def decode_announce_buffer(buffer: Buffer) -> Announce:
-    # Landing buffers may be over-provisioned; the codec wants the exact
-    # record, so slice before decoding.
-    return decode_announce(buffer.view(0, ANNOUNCE_BYTES).tobytes())

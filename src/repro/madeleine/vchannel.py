@@ -8,15 +8,15 @@ Creating one:
 * computes minimum-hop routes over the member channels;
 * spawns a forwarding worker on every (gateway, incoming special channel).
 
-``begin_packing`` picks the underlying machinery dynamically: a direct
-(route length 1) message goes through the regular per-protocol path exactly
-as before; anything longer goes through the Generic Transmission Module.
+``endpoint(src).begin_packing(dst)`` picks the underlying machinery
+dynamically: a direct (route length 1) message goes through the regular
+per-protocol path exactly as before; anything longer goes through the
+Generic Transmission Module.
 The application never sees the difference — the paper's transparency claim.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from dataclasses import replace as _dc_replace
@@ -436,21 +436,6 @@ class VirtualChannel:
         return self._endpoints[rank]
 
     # -- sending ------------------------------------------------------------------
-    def begin_packing(self, src: int,
-                      dst: int) -> Union[OutgoingMessage, GTMOutgoing, StripedOutgoing]:
-        """Deprecated spelling of ``endpoint(src).begin_packing(dst)``.
-
-        The two-argument form predates the unified
-        :class:`~repro.madeleine.endpoint.MessageEndpoint` protocol; go
-        through the endpoint so application code stays channel-kind
-        agnostic.
-        """
-        warnings.warn(
-            "VirtualChannel.begin_packing(src, dst) is deprecated; use "
-            "vchannel.endpoint(src).begin_packing(dst)",
-            DeprecationWarning, stacklevel=2)
-        return self._begin_packing(src, dst)
-
     def _begin_packing(self, src: int,
                        dst: int) -> Union[OutgoingMessage, GTMOutgoing, StripedOutgoing]:
         """Start a message; the real channel (and whether the GTM is needed)

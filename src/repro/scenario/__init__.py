@@ -15,9 +15,6 @@ Entry points:
 * :func:`build_world` — the scenario's world (nodes + scheduler);
 * :meth:`repro.madeleine.Session.from_scenario` — the whole stack: world,
   channels, armed faults, virtual channel.
-
-The schema previously lived at ``repro.fuzz.scenario``; that module remains
-as a deprecated import shim.
 """
 
 from .build import build_world

@@ -32,15 +32,18 @@ from __future__ import annotations
 
 import pathlib
 import time
+from dataclasses import replace
 from typing import Callable, Optional
 
 from ..analysis.model import _rail_period
+from ..bench.gates import FAMILY_FLOOR, SPEEDUP, STRICT, evaluate
 from ..hw.params import DEFAULT_GATEWAY, DEFAULT_NODE, PROTOCOLS
 from ..scenario import MessageSpec, Scenario, Topology, TrafficSpec
 from .core import solve, solve_bandwidth
 
 __all__ = ["ping_scenario", "multirail_scenario", "traffic_scenario",
-           "run_validate", "compare_validate", "format_validate",
+           "run_validate", "validate_rows", "compare_validate",
+           "format_validate",
            "write_validate_baseline", "DEFAULT_VALIDATE_BASELINE",
            "STRICT_LIMIT", "MIN_SPEEDUP"]
 
@@ -49,13 +52,9 @@ DEFAULT_VALIDATE_BASELINE = (_REPO_ROOT / "benchmarks" / "baselines"
                              / "solver_validate.json")
 
 #: the acceptance criterion: strict families must match the DES this well.
-STRICT_LIMIT = 0.05
+STRICT_LIMIT = STRICT.default
 #: and the whole validation run must beat the DES by this wall-clock factor.
-MIN_SPEEDUP = 100.0
-#: absolute slack added to a committed per-family floor before failing: the
-#: DES is deterministic but float summation order is not sacred across
-#: refactors, so a hair of drift is not a regression.
-FLOOR_SLACK = 0.005
+MIN_SPEEDUP = SPEEDUP.default
 
 _MESSAGE = 2 << 20
 
@@ -138,24 +137,9 @@ def _des_pipeline_stats(direction: str, packet: int):
 
     from ..analysis import extract_timeline, pipeline_stats
     from ..bench.ping import PingHarness
-    harness = PingHarness(packet_size=packet)
-    world, session, vch, _ack = harness.build()
-    src, dst = (("a0", "b0") if direction == "myri->sci" else ("b0", "a0"))
-    data = np.zeros(_MESSAGE, dtype=np.uint8)
-
-    def snd():
-        m = vch.endpoint(session.rank(src)).begin_packing(session.rank(dst))
-        yield m.pack(data)
-        yield m.end_packing()
-
-    def rcv():
-        inc = yield vch.endpoint(session.rank(dst)).begin_unpacking()
-        _ev, _b = inc.unpack(_MESSAGE)
-        yield inc.end_unpacking()
-
-    session.spawn(snd())
-    session.spawn(rcv())
-    session.run()
+    world, _session, _t = PingHarness(packet_size=packet).transfer(
+        [np.zeros(_MESSAGE, dtype=np.uint8)],
+        "a0->b0" if direction == "myri->sci" else "b0->a0")
     return pipeline_stats(extract_timeline(world.trace))
 
 
@@ -349,38 +333,30 @@ def run_validate(progress: Optional[Callable[[str], None]] = None,
     }
 
 
-def compare_validate(result: dict, baseline: dict) -> list[str]:
-    """Failure messages for ``result`` against the committed baseline.
-
-    Strict families must stay within the strict limit *and* within their
-    committed floor (+ absolute slack); loose families within their floor
-    only; the run must keep the committed wall-clock speedup.
-    """
-    failures = []
-    strict_limit = baseline.get("strict_limit", STRICT_LIMIT)
-    slack = baseline.get("slack", FLOOR_SLACK)
+def validate_rows(baseline: dict) -> list[tuple]:
+    """The ``(gate, bound)`` rows of the committed baseline: per family
+    its floor plus ``slack`` (the DES is deterministic but float summation
+    order is not sacred across refactors) and, if strict, the strict limit;
+    then the wall-clock speedup."""
+    limit = baseline.get("strict_limit", STRICT.default)
+    slack = baseline.get("slack", FAMILY_FLOOR.default)
+    rows = []
     for name, committed in baseline.get("families", {}).items():
-        fam = result["families"].get(name)
-        if fam is None:
-            failures.append(f"{name}: family missing from this run")
-            continue
-        err = fam["max_rel_err"]
-        floor = committed["max_rel_err"]
-        if committed.get("strict", True) and err > strict_limit:
-            failures.append(
-                f"{name}: max rel error {err:.2%} exceeds the strict "
-                f"solver==DES limit ({strict_limit:.0%})")
-        if err > floor + slack:
-            failures.append(
-                f"{name}: max rel error {err:.2%} exceeds the committed "
-                f"floor {floor:.2%} (+{slack:.1%} slack) — the solver "
-                f"drifted from the DES")
-    min_speedup = baseline.get("min_speedup", MIN_SPEEDUP)
-    if result["speedup"] < min_speedup:
-        failures.append(
-            f"speedup: solver is only {result['speedup']:.0f}x faster than "
-            f"the DES (committed minimum {min_speedup:.0f}x)")
-    return failures
+        path = f"{name}.max_rel_err"
+        if committed.get("strict", True):
+            rows.append((replace(STRICT, path=path), limit))
+        rows.append((replace(FAMILY_FLOOR, path=path),
+                     committed["max_rel_err"] + slack))
+    rows.append((SPEEDUP, baseline.get("min_speedup", SPEEDUP.default)))
+    return rows
+
+
+def compare_validate(result: dict, baseline: dict) -> list[str]:
+    """Failure messages for ``result`` against the committed baseline:
+    :func:`validate_rows` judged by :func:`repro.bench.gates.evaluate`
+    (a family missing from the run fails as a missing metric)."""
+    measured = dict(result["families"], speedup=result.get("speedup"))
+    return evaluate(validate_rows(baseline), measured)
 
 
 def format_validate(result: dict, failures: list[str]) -> str:
@@ -416,9 +392,9 @@ def write_validate_baseline(result: dict, path: pathlib.Path) -> None:
     if path.exists():
         existing = json.loads(path.read_text(encoding="utf-8"))
     payload = {
-        "strict_limit": existing.get("strict_limit", STRICT_LIMIT),
-        "slack": existing.get("slack", FLOOR_SLACK),
-        "min_speedup": existing.get("min_speedup", MIN_SPEEDUP),
+        "strict_limit": existing.get("strict_limit", STRICT.default),
+        "slack": existing.get("slack", FAMILY_FLOOR.default),
+        "min_speedup": existing.get("min_speedup", SPEEDUP.default),
         "families": {
             name: {"max_rel_err": fam["max_rel_err"],
                    "strict": fam["strict"]}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bench import gates
 from repro.bench import regress as rg
 
 
@@ -180,7 +181,7 @@ def test_write_baseline_preserves_floors(tmp_path):
     data = json.loads(path.read_text())
     assert data["floors"]["pipeline_depth4_gain"] == 0.42
     assert data["floors"]["batching_record_reduction"] == \
-        rg.DEFAULT_FLOORS["batching_record_reduction"]
+        {g.key: g.default for g in gates.FLOORS}["batching_record_reduction"]
 
 
 def test_recompute_fraction_ceiling_enforced(baseline):
